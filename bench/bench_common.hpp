@@ -11,27 +11,20 @@
 //                        ({fig, config, ops_per_sec, p50/p99_ns, rows}) to
 //                        PATH when the binary exits — the perf-trajectory
 //                        record scripts/bench_json.sh collects in CI
-//     --probe ENGINE     probe engine for every table the bench builds:
-//                        auto|swar|avx2|avx512 (default auto; also the
-//                        DLHT_PROBE env knob — the flag wins). Requesting
-//                        an engine this host cannot run is a hard error,
-//                        never a silent fallback: mislabeled trajectory
-//                        numbers are worse than no numbers. The resolved
-//                        engine is recorded in the JSON config tag.
 //     --counters         open per-thread perf counters (cycles, LLC/dTLB/
 //                        node misses, task clock, faults) around every
 //                        timed region and attach a counters{...} object to
 //                        the matching trajectory row (also: DLHT_COUNTERS
-//                        env knob). Hosts that forbid perf_event_open get
-//                        zeroed values with "unavailable": true — the key
-//                        is always present so CI can grep for it.
+//                        env knob). A counter that could not open is
+//                        written as null, and hosts that forbid
+//                        perf_event_open get "unavailable": true — every
+//                        key is always present so CI can grep for it.
 //     --map a,b,...      restrict a comparison bench to the named designs
 //                        (also: DLHT_BENCH_MAPS env knob; the flag wins).
 //                        Names: dlht clht growt folly dramhit mica cuckoo
 //                        tbb leapfrog locked rh mm. Unknown names refuse
-//                        with exit 2 (same contract as --probe: a typo
-//                        silently dropping a series mislabels the
-//                        trajectory). Empty/unset = every design the
+//                        with exit 2 (a typo silently dropping a series
+//                        would mislabel the trajectory). Empty/unset = every design the
 //                        binary hosts. The selection lands in the JSON
 //                        config tag ("maps=..."), so filtered rows are
 //                        never diffed against full-field rows.
@@ -85,12 +78,10 @@ inline std::uint64_t now_ns() {
 ///                        size multiplier (Options::growth_factor).
 ///   DLHT_ABLATION        comma list of features to disable: nofp
 ///                        (fingerprints), nolink (link chains), noinplace
-///                        (in-place updates), nosimd (the SIMD batched
+///                        (in-place updates), nosimd (the AVX2 batched
 ///                        probe — forces the SWAR engine). "nobatch" is
 ///                        honored by the benches that sweep batching, not
 ///                        here.
-///   DLHT_PROBE           probe engine (auto|swar|avx2|avx512); see
-///                        requested_probe() below.
 ///   DLHT_NUMA            bucket/link-pool placement: first_touch
 ///                        (default), interleave, node:<id>; see
 ///                        apply_numa_env() below.
@@ -98,54 +89,16 @@ inline std::uint64_t now_ns() {
 /// dlht_options() applies this automatically; benches that build Options
 /// by hand (fig07/fig08's growth tables, tab01's occupancy study) call it
 /// so the knobs work everywhere REPRODUCING.md says they do.
-/// Parse a probe-engine name, refusing loudly (exit 2) both unknown names
-/// and engines this host cannot execute. Refusal beats the core's silent
-/// degrade-to-SWAR here because a bench run that *labels* itself avx2 must
-/// actually have run avx2 — the trajectory JSON is only comparable if the
-/// config tag tells the truth.
-inline ProbeStrategy parse_probe_or_die(const char* s, const char* origin) {
-  ProbeStrategy req;
-  if (std::strcmp(s, "auto") == 0) {
-    req = ProbeStrategy::kAuto;
-  } else if (std::strcmp(s, "swar") == 0) {
-    req = ProbeStrategy::kSwar;
-  } else if (std::strcmp(s, "avx2") == 0) {
-    req = ProbeStrategy::kAvx2;
-  } else if (std::strcmp(s, "avx512") == 0) {
-    req = ProbeStrategy::kAvx512;
-  } else {
-    std::fprintf(stderr,
-                 "bench: unknown probe engine '%s' (from %s); expected "
-                 "auto|swar|avx2|avx512\n",
-                 s, origin);
-    std::exit(2);
-  }
-  if (!probe::host_supports(req)) {
-    std::fprintf(stderr,
-                 "bench: probe engine '%s' requested via %s, but this host "
-                 "cannot execute it — refusing to run (numbers would be "
-                 "silently mislabeled). Use '--probe auto' for runtime "
-                 "dispatch.\n",
-                 s, origin);
-    std::exit(2);
-  }
-  return req;
-}
-
-/// The probe engine every bench-built table requests: the --probe flag
-/// (parse_args) wins over the DLHT_PROBE env knob; default kAuto.
-inline ProbeStrategy& requested_probe() {
-  static ProbeStrategy s = [] {
-    const char* env = std::getenv("DLHT_PROBE");
-    return env != nullptr ? parse_probe_or_die(env, "DLHT_PROBE")
-                          : ProbeStrategy::kAuto;
-  }();
-  return s;
+/// The probe engine a table built with `o` runs, as tagged into bench
+/// rows and JSON configs: "avx2" on AVX2 hosts unless an ablation forces
+/// the portable "swar" kernel.
+inline const char* probe_engine(const Options& o) {
+  return DLHT::dispatches_simd(o) ? "avx2" : "swar";
 }
 
 /// Parse a DLHT_NUMA placement spec onto `o`, refusing unknown specs with
-/// exit 2 (same contract as parse_probe_or_die: a run whose placement knob
-/// was silently ignored produces mislabeled numbers). Valid specs:
+/// exit 2 (a run whose placement knob was silently ignored produces
+/// mislabeled numbers). Valid specs:
 /// first_touch | interleave | node:<id>. Whether the policy can actually
 /// bind on this host is the table's business — it degrades gracefully and
 /// counts stats().numa_fallback — but a *malformed* spec is operator error.
@@ -178,7 +131,6 @@ inline void apply_numa_env(Options& o) {
 }
 
 inline Options apply_env_knobs(Options o) {
-  o.probe_strategy = requested_probe();
   apply_numa_env(o);
   if (const char* env = std::getenv("DLHT_GROWTH_FACTOR")) {
     char* end = nullptr;
@@ -681,8 +633,6 @@ inline Args parse_args(int argc, char** argv) {
     } else if (arg == "--threads-list") {
       auto ts = parse_thread_list(next());
       if (!ts.empty()) a.threads_list = std::move(ts);  // never leave it empty
-    } else if (arg == "--probe") {
-      requested_probe() = parse_probe_or_die(next(), "--probe");
     } else if (arg == "--map") {
       a.maps = parse_map_list_or_die(next(), "--map");
     } else if (arg == "--counters") {
@@ -700,12 +650,11 @@ inline Args parse_args(int argc, char** argv) {
       if (i != 0) cfg += ',';
       cfg += std::to_string(a.threads_list[i]);
     }
-    // Tag the trajectory point with the probe engine the tables will
-    // actually dispatch (never "auto"): bench_diff.py skips comparisons
-    // whose configs differ, so points from different engines are never
-    // silently compared against each other.
+    // Tag the trajectory point with the probe engine the tables actually
+    // run: bench_diff.py skips comparisons whose configs differ, so points
+    // from different engines are never silently compared.
     cfg += " probe=";
-    cfg += probe::name(DLHT::resolved_probe(apply_env_knobs(Options{})));
+    cfg += probe_engine(apply_env_knobs(Options{}));
     // ...and with the scale profile and any --map selection: paper-scale
     // rows must never be diffed against smoke rows, and a filtered field
     // changes what ops_per_sec (max over series) even means.
@@ -740,10 +689,9 @@ inline Args parse_args(int argc, char** argv) {
 /// One-line, self-labeling record of the dispatched probe engine and what
 /// the host could run — printed by the benches whose numbers depend on it.
 inline void print_probe_engine() {
-  std::printf("# probe engine: %s (host supports: swar%s%s)\n",
-              probe::name(DLHT::resolved_probe(apply_env_knobs(Options{}))),
-              probe::host_supports(ProbeStrategy::kAvx2) ? ",avx2" : "",
-              probe::host_supports(ProbeStrategy::kAvx512) ? ",avx512" : "");
+  std::printf("# probe engine: %s (host supports: swar%s)\n",
+              probe_engine(apply_env_knobs(Options{})),
+              probe::host_has_avx2() ? ",avx2" : "");
 }
 
 inline void print_header(const char* figure, const char* description) {

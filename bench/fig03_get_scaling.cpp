@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   // the figure shows what the vector probe contributes at each thread
   // count (its sibling micro-view is micro_ops' single-thread sweep).
   if (args.map_enabled("dlht") &&
-      DLHT::resolved_probe(dlht_options(keys)) != ProbeStrategy::kSwar) {
+      DLHT::dispatches_simd(dlht_options(keys))) {
     Options o = dlht_options(keys);
-    o.probe_strategy = ProbeStrategy::kSwar;
+    o.ablation.simd_probe = false;
     InlinedMap m(o);
     workload::populate(m, keys);
     for (const int t : args.threads_list) {

@@ -40,19 +40,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Same Get sweep per probe engine the host can run beyond the dispatched
-  // one's SWAR floor: batch size is where the engines separate (SIMD needs
-  // >= 8 in-flight probes per sweep to fill its lanes), so the batch-size
-  // curve is the natural place to see the crossover.
-  if (DLHT::resolved_probe(dlht_options(keys)) != ProbeStrategy::kSwar) {
-    for (const ProbeStrategy e :
-         {ProbeStrategy::kSwar, ProbeStrategy::kAvx2, ProbeStrategy::kAvx512}) {
-      if (!probe::host_supports(e)) continue;
+  // Same Get sweep on the SWAR and the AVX2 probe when the host dispatches
+  // AVX2: batch size is where the engines separate (SIMD needs >= 8
+  // in-flight probes per sweep to fill its lanes), so the batch-size curve
+  // is the natural place to see the crossover.
+  if (DLHT::dispatches_simd(dlht_options(keys))) {
+    for (const bool simd : {false, true}) {
       Options o = dlht_options(keys);
-      o.probe_strategy = e;
+      o.ablation.simd_probe = simd;
       InlinedMap m(o);
       workload::populate(m, keys);
-      const std::string series = std::string("Get[") + probe::name(e) + "]";
+      const std::string series = std::string("Get[") + probe_engine(o) + "]";
       for (const std::size_t b : {1ul, 8ul, 24ul, 64ul}) {
         print_row("fig12", series, static_cast<double>(b),
                   run_tput(threads, secs,

@@ -322,10 +322,10 @@ void run_shape_check(const bench::Args& args) {
 }
 
 /// Probe-engine sweep: one table per engine this host can execute, same
-/// keyset and batched-Get workload, so the SWAR/AVX2/AVX-512 rows are
-/// directly comparable. Runs at --keys scale (cache-resident by default):
-/// that is where header matching is the bottleneck and the SIMD engines
-/// must earn their keep — at memory-bound scale the prefetch pipeline
+/// keyset and batched-Get workload, so the SWAR/AVX2 rows are directly
+/// comparable. Runs at --keys scale (cache-resident by default):
+/// that is where header matching is the bottleneck and the SIMD engine
+/// must earn its keep — at memory-bound scale the prefetch pipeline
 /// hides most of the matching cost anyway. Single-threaded: the engines
 /// differ per-core, not in scalability.
 void run_probe_sweep(const bench::Args& args) {
@@ -334,13 +334,10 @@ void run_probe_sweep(const bench::Args& args) {
     std::printf("# probe sweep skipped (SIMD probe ablated away)\n");
     return;
   }
-  std::vector<ProbeStrategy> engines{ProbeStrategy::kSwar};
-  if (probe::host_supports(ProbeStrategy::kAvx2)) {
-    engines.push_back(ProbeStrategy::kAvx2);
-  }
-  if (probe::host_supports(ProbeStrategy::kAvx512)) {
-    engines.push_back(ProbeStrategy::kAvx512);
-  }
+  // SWAR through its ablation, then AVX2 (the default) where the host has it.
+  std::vector<Options> engines{base};
+  engines[0].ablation.simd_probe = false;
+  if (DLHT::dispatches_simd(base)) engines.push_back(base);
 
   constexpr std::size_t kBatch = 24;
 
@@ -348,9 +345,7 @@ void run_probe_sweep(const bench::Args& args) {
   // one shared key stream, so every engine probes the identical sequence
   // and no per-key generator time dilutes the probe-pipeline comparison.
   std::vector<std::unique_ptr<InlinedMap>> tables;
-  for (const ProbeStrategy e : engines) {
-    Options o = base;
-    o.probe_strategy = e;
+  for (const Options& o : engines) {
     tables.push_back(std::make_unique<InlinedMap>(o));
     workload::populate(*tables.back(), args.keys);
   }
@@ -391,20 +386,17 @@ void run_probe_sweep(const bench::Args& args) {
     }
   }
 
-  double swar = 0.0;
-  double avx2 = 0.0;
+  std::vector<double> mreqs(engines.size());
   for (std::size_t i = 0; i < engines.size(); ++i) {
-    const double mreqs = ops[i] / secs[i] / 1e6;
+    mreqs[i] = ops[i] / secs[i] / 1e6;
     bench::print_row(
         "micro_ops",
-        std::string("Get/batch24[") + probe::name(engines[i]) + "]", 1,
-        mreqs, "Mreq/s");
-    if (engines[i] == ProbeStrategy::kSwar) swar = mreqs;
-    if (engines[i] == ProbeStrategy::kAvx2) avx2 = mreqs;
+        std::string("Get/batch24[") + bench::probe_engine(engines[i]) + "]",
+        1, mreqs[i], "Mreq/s");
   }
-  if (avx2 > 0.0) {
+  if (engines.size() == 2) {
     bench::check_shape("AVX2 batched Get >= 1.15x SWAR batched Get",
-                       avx2 >= 1.15 * swar);
+                       mreqs[1] >= 1.15 * mreqs[0]);
   } else {
     std::printf("# shape skip: AVX2 vs SWAR (host lacks AVX2)\n");
   }

@@ -6,11 +6,11 @@
 // page-fault software events. Each event is opened independently rather
 // than as one strict group — VMs commonly expose the software events but no
 // PMU, and a strict group would turn "no LLC counter" into "no counters at
-// all". Events that fail to open read as zero and drop out of the
-// availability mask; when *nothing* opens (perf_event_paranoid >= 3,
-// seccomp, non-Linux) the merged totals serialize as zeroes with
-// "unavailable": true, so trajectory JSON always carries the counters
-// object and never silently drops it.
+// all". Events that fail to open drop out of the availability mask and
+// serialize as null, never as a 0 that reads like a measurement; when
+// *nothing* opens (perf_event_paranoid >= 3, seccomp, non-Linux) the object
+// also carries "unavailable": true. Every key is always present, so
+// trajectory JSON carries the counters object and never silently drops it.
 //
 // Reads use PERF_FORMAT_TOTAL_TIME_{ENABLED,RUNNING} and scale for
 // multiplexing, so five hardware events on a 4-counter PMU still produce
@@ -51,7 +51,8 @@ inline const char* counter_name(unsigned id) {
 
 /// Merged counter values for one measured region (one thread, or the sum
 /// over all worker threads). `available` is a bitmask over CounterId; a
-/// clear bit means that event could not be opened and its value is 0.
+/// clear bit means that event could not be opened and its value is
+/// meaningless (to_json writes it as null).
 struct CounterTotals {
   std::uint64_t v[kNumCounters] = {};
   std::uint32_t available = 0;
@@ -68,15 +69,19 @@ struct CounterTotals {
     available &= o.available;
   }
 
-  /// The trajectory representation: every key always present (zeroed when
+  /// The trajectory representation: every key always present (null when
   /// unopenable), plus "unavailable": true when no event opened at all.
   std::string to_json() const {
     std::string out = "{";
     char buf[64];
     for (unsigned i = 0; i < kNumCounters; ++i) {
-      std::snprintf(buf, sizeof buf, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-                    counter_name(i),
-                    static_cast<unsigned long long>(v[i]));
+      if (is_available(i)) {
+        std::snprintf(buf, sizeof buf, "%s\"%s\": %llu", i == 0 ? "" : ", ",
+                      counter_name(i), static_cast<unsigned long long>(v[i]));
+      } else {
+        std::snprintf(buf, sizeof buf, "%s\"%s\": null", i == 0 ? "" : ", ",
+                      counter_name(i));
+      }
       out += buf;
     }
     out += std::string(", \"unavailable\": ") +

@@ -547,7 +547,7 @@ inline PinPlan pin_plan_from_env(std::string* err) {
 
 /// pin_plan_from_env, but a bad DLHT_PIN is a typed fatal error (exit 2):
 /// a bench or driver run that *labels* itself pinned must actually be
-/// pinned the way the spec says — same refusal contract as --probe.
+/// pinned the way the spec says — same refusal contract as DLHT_NUMA.
 inline PinPlan pin_plan_from_env_or_die() {
   std::string err;
   PinPlan plan = pin_plan_from_env(&err);

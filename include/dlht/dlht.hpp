@@ -117,15 +117,6 @@ struct Options {
   /// Target node for NumaPolicy::kNodeLocal.
   unsigned numa_node = 0;
 
-  /// Probe engine for the batched pipeline (dlht/probe.hpp): kAuto resolves
-  /// to the widest engine this CPU supports at construction (cpuid, never
-  /// per probe). An explicit SIMD kind on a host without it degrades to
-  /// kSwar — the core always runs; benches refuse instead (bench `--probe`
-  /// / DLHT_PROBE knob). Scalar ops and the write-side slot search always
-  /// use the portable SWAR matchers regardless of this setting: SIMD pays
-  /// off where 8 prefetched headers can be matched per instruction.
-  ProbeStrategy probe_strategy = ProbeStrategy::kAuto;
-
   /// Runtime ablation toggles (fig14/tab01/ablation_design): each disables
   /// one design feature so its contribution can be measured. Defaults are
   /// the paper's design. Batching has no toggle here because it is a
@@ -144,9 +135,11 @@ struct Options {
     /// through the two-phase shadow-insert path (three home-lock
     /// acquisitions) instead of overwriting the value in place under one.
     bool inplace_updates = true;
-    /// Off: the runtime-dispatched SIMD batched probe is disabled and every
-    /// probe runs the portable SWAR path, whatever probe_strategy says —
-    /// fig14's simd_probe ablation (DLHT_ABLATION=nosimd bench knob).
+    /// Off: the batched pipeline skips the AVX2 probe it dispatches on
+    /// AVX2 hosts and every probe runs the portable SWAR path — fig14's
+    /// simd_probe ablation (DLHT_ABLATION=nosimd bench knob). Scalar ops
+    /// and the write-side slot search always use SWAR: SIMD pays off where
+    /// 8 prefetched headers can be matched per instruction.
     bool simd_probe = true;
   };
   Ablation ablation;
@@ -184,20 +177,18 @@ class DLHT {
     std::uint64_t user = 0;
   };
 
-  /// The probe engine a table built with `o` would actually run: cpuid
-  /// resolution of o.probe_strategy, forced to SWAR when the simd_probe or
-  /// fingerprints ablation removes what SIMD accelerates. Exposed so bench
-  /// config tags can record the dispatched engine without building a table.
-  static ProbeStrategy resolved_probe(const Options& o) {
-    if (!o.ablation.simd_probe || !o.ablation.fingerprints) {
-      return ProbeStrategy::kSwar;
-    }
-    return probe::resolve(o.probe_strategy);
+  /// Whether a table built with `o` runs the AVX2 batched probe: the host
+  /// has AVX2 and neither the simd_probe nor the fingerprints ablation
+  /// removes what SIMD accelerates. Otherwise every probe is SWAR. Exposed
+  /// so bench config tags can record the engine without building a table.
+  static bool dispatches_simd(const Options& o) {
+    return o.ablation.simd_probe && o.ablation.fingerprints &&
+           probe::host_has_avx2();
   }
 
   explicit DLHT(const Options& o)
       : opts_(o),
-        probe_(resolved_probe(o)),
+        simd_(dispatches_simd(o)),
         numa_binding_{o.numa_policy, o.numa_node, &numa_fallback_},
         epoch_(o.max_threads) {
     cur_.store(new TableInstance(o.initial_bins, o.link_ratio, &numa_binding_),
@@ -220,9 +211,6 @@ class DLHT {
     return cur_.load(std::memory_order_acquire)->mask_ + 1;
   }
   const Options& options() const { return opts_; }
-
-  /// The probe engine this table dispatched at construction (never kAuto).
-  ProbeStrategy probe_strategy() const { return probe_; }
 
   /// Completed *growth* migrations since construction (shrinks are
   /// counted separately by shrinks_completed()).
@@ -865,22 +853,19 @@ class DLHT {
 
   static constexpr std::size_t kGetChunk = 64;
 
-#if DLHT_PROBE_X86_SIMD
+#if DLHT_X86_SIMD
   /// Consume one gathered group of 8 lanes given the packed candidate mask
-  /// from a probe.hpp x8 kernel; kStride is the mask's per-lane bit stride
-  /// (4 for the compact AVX2 form, 8 for the byte-stride AVX-512 form).
-  /// Deliberately baseline-target: a caller may
-  /// always inline a callee compiled for a subset of its ISA, so this one
-  /// body serves both per-engine sweeps below. always_inline is load-
-  /// bearing — left to its own cost model GCC keeps this out of line, and
-  /// an 11-argument call per 8 lanes costs more than the vector matching
-  /// saves.
-  template <int kStride>
-  __attribute__((always_inline)) inline void consume_group(const TableInstance* t, const std::uint64_t* keys,
-                            const std::uint8_t* fp, const Bucket** cur,
-                            std::uint16_t* active, std::size_t s, Reply* out,
-                            const std::uint64_t* hd, std::uint64_t cmask,
-                            std::size_t& keep, bool identity) const {
+  /// from the probe.hpp AVX2 kernel (lane j's candidates at bits [4j..4j+2]).
+  /// Deliberately baseline-target: a caller may always inline a callee
+  /// compiled for a subset of its ISA, so the AVX2 sweep below inlines this
+  /// body. always_inline is load-bearing — left to its own cost model GCC
+  /// keeps this out of line, and an 11-argument call per 8 lanes costs more
+  /// than the vector matching saves.
+  __attribute__((always_inline)) inline void consume_group(
+      const TableInstance* t, const std::uint64_t* keys, const std::uint8_t* fp,
+      const Bucket** cur, std::uint16_t* active, std::size_t s, Reply* out,
+      const std::uint64_t* hd, std::uint32_t cmask, std::size_t& keep,
+      bool identity) const {
     for (int j = 0; j < 8; ++j) {
       const std::size_t lane = identity ? s + j : active[s + j];
       Reply& rp = out[lane];
@@ -892,8 +877,7 @@ class DLHT {
         resolve_scalar(t, b, fp[lane], k, rp);
         continue;
       }
-      std::uint32_t cand =
-          static_cast<std::uint32_t>(cmask >> (kStride * j)) & 7u;
+      std::uint32_t cand = (cmask >> (4 * j)) & 7u;
       bool resolved = false;
       bool torn = false;
       while (cand != 0) {
@@ -935,17 +919,9 @@ class DLHT {
     }
   }
 
-  /// Per-engine group sweeps over active lanes [0, na): gather 8 acquire
-  /// header loads + the 8 fingerprints packed into one register word, run
-  /// the matching x8 kernel, consume. Each sweep carries the same target
-  /// ISA as its kernel so the kernel inlines here — the gathered headers
-  /// feed the vector compare without an out-of-line call frame in between.
-  /// On the first sweep of a chunk (`identity`, active[j] == j) the lane
-  /// indirection drops out and the fingerprint word is one contiguous
-  /// 8-byte load. Returns the lane index where the scalar tail resumes.
   /// Gather one group's 8 headers (acquire) + fingerprints. The unrolled
-  /// scalar loads keep each header in its own SSA value so the sweeps can
-  /// hand them to the vector kernels as registers (see the probe.hpp note
+  /// scalar loads keep each header in its own SSA value so the sweep can
+  /// hand them to the vector kernel as registers (see the probe.hpp note
   /// on the array form's store-forwarding hazard); the hd[] copy feeds the
   /// per-lane seqlock re-checks in consume_group, where same-width 8B
   /// store/load pairs forward cleanly.
@@ -974,6 +950,14 @@ class DLHT {
     return fps;
   }
 
+  /// Group sweep over active lanes [0, na): gather 8 acquire header loads
+  /// + the 8 fingerprints packed into one register word, run the AVX2
+  /// kernel, consume. The sweep carries the kernel's target ISA so the
+  /// kernel inlines here — the gathered headers feed the vector compare
+  /// without an out-of-line call frame in between. On the first sweep of a
+  /// chunk (`identity`, active[j] == j) the lane indirection drops out and
+  /// the fingerprint word is one contiguous 8-byte load. Returns the lane
+  /// index where the scalar tail resumes.
   __attribute__((target("avx2"))) std::size_t sweep_groups_avx2(
       const TableInstance* t, const std::uint64_t* keys,
       const std::uint8_t* fp, const Bucket** cur, std::uint16_t* active,
@@ -990,34 +974,12 @@ class DLHT {
           static_cast<long long>(probe::pack_lo_pair(hd[4], hd[5])),
           static_cast<long long>(probe::pack_lo_pair(hd[2], hd[3])),
           static_cast<long long>(probe::pack_lo_pair(hd[0], hd[1])));
-      consume_group<4>(t, keys, fp, cur, active, s, out, hd,
-                       probe::match_valid_x8v_avx2(hlo, fps), keep, identity);
+      consume_group(t, keys, fp, cur, active, s, out, hd,
+                    probe::match_valid_x8v_avx2(hlo, fps), keep, identity);
     }
     return s;
   }
-
-  __attribute__((target("avx512f,avx512bw"))) std::size_t sweep_groups_avx512(
-      const TableInstance* t, const std::uint64_t* keys,
-      const std::uint8_t* fp, const Bucket** cur, std::uint16_t* active,
-      std::size_t na, Reply* out, std::size_t& keep, bool identity) const {
-    std::size_t s = 0;
-    std::uint64_t hd[8];
-    for (; s + 8 <= na; s += 8) {
-      const std::uint64_t fps = gather_group(fp, cur, active, s, identity, hd);
-      const __m512i h = _mm512_set_epi64(static_cast<long long>(hd[7]),
-                                         static_cast<long long>(hd[6]),
-                                         static_cast<long long>(hd[5]),
-                                         static_cast<long long>(hd[4]),
-                                         static_cast<long long>(hd[3]),
-                                         static_cast<long long>(hd[2]),
-                                         static_cast<long long>(hd[1]),
-                                         static_cast<long long>(hd[0]));
-      consume_group<8>(t, keys, fp, cur, active, s, out, hd,
-                       probe::match_valid_x8v_avx512(h, fps), keep, identity);
-    }
-    return s;
-  }
-#endif  // DLHT_PROBE_X86_SIMD
+#endif  // DLHT_X86_SIMD
 
   /// The software-pipelined core of a batched-Get chunk (m <= kGetChunk)
   /// against instance `t` — shared by get_batch and execute_batch's
@@ -1027,8 +989,8 @@ class DLHT {
   ///
   /// Stage 1 hashes and prefetches every home bucket; stage 2 sweeps the
   /// still-active lanes, one bucket per lane per sweep, so link-chain
-  /// misses overlap too. With a SIMD engine dispatched, each sweep matches
-  /// fingerprints across 8 prefetched headers at once (probe.hpp kernels:
+  /// misses overlap too. With the AVX2 probe dispatched, each sweep matches
+  /// fingerprints across 8 prefetched headers at once (probe.hpp kernel:
   /// broadcast + cmpeq_epi8 + movemask into per-key candidate bitsets) and
   /// the seqlock re-check of all 8 lanes shares one acquire fence; locked,
   /// migrated, or torn lanes fall back to the scalar walk. Chained lanes
@@ -1048,19 +1010,16 @@ class DLHT {
     }
     std::size_t na = m;
     // The first sweep visits every lane in order (active[j] == j), so both
-    // the SIMD sweeps and the scalar tail skip the active[] indirection
+    // the SIMD sweep and the scalar tail skip the active[] indirection
     // until the first link-chain compaction.
     bool identity = true;
     while (na > 0) {
       std::size_t keep = 0;
       std::size_t s = 0;
-#if DLHT_PROBE_X86_SIMD
-      if (probe_ == ProbeStrategy::kAvx2) {
+#if DLHT_X86_SIMD
+      if (simd_) {
         s = sweep_groups_avx2(t, keys, fp, cur, active, na, out, keep,
                               identity);
-      } else if (probe_ == ProbeStrategy::kAvx512) {
-        s = sweep_groups_avx512(t, keys, fp, cur, active, na, out, keep,
-                                identity);
       }
 #endif
       for (; s < na; ++s) {
@@ -1589,9 +1548,9 @@ class DLHT {
   static inline const Bucket kRedirectBucket{};
 
   Options opts_;
-  /// Resolved at construction (resolved_probe); branch target of the
-  /// batched pipeline, never re-derived per probe.
-  ProbeStrategy probe_ = ProbeStrategy::kSwar;
+  /// Set at construction (dispatches_simd); branch target of the batched
+  /// pipeline, never re-derived per probe.
+  bool simd_ = false;
   Hasher hash_{};
   /// Placements that could not be applied (see Options::numa_policy).
   /// Declared before epoch_/numa_binding_ users: epoch_'s destructor can

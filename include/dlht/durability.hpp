@@ -95,7 +95,7 @@ struct Table {
 };
 inline constexpr Table kTable{};
 
-#if DLHT_PROBE_X86_SIMD
+#if DLHT_X86_SIMD
 __attribute__((target("sse4.2"))) inline std::uint32_t crc_hw(
     const unsigned char* p, std::size_t n, std::uint32_t c) {
   while (n >= 8) {
@@ -128,7 +128,7 @@ inline std::uint32_t crc32c(const void* data, std::size_t n,
                             std::uint32_t seed = 0) {
   const auto* p = static_cast<const unsigned char*>(data);
   const std::uint32_t c = ~seed;
-#if DLHT_PROBE_X86_SIMD
+#if DLHT_X86_SIMD
   static const bool hw = __builtin_cpu_supports("sse4.2") != 0;
   if (hw) return ~detail_crc::crc_hw(p, n, c);
 #endif

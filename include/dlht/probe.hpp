@@ -1,35 +1,31 @@
-// Probe-strategy layer: every bucket/link-chain probe in the table funnels
-// through the helpers in this header, so slot matching is a pluggable,
-// measurable component instead of logic inlined into dlht.hpp.
+// Probe layer: every bucket/link-chain probe in the table funnels through
+// the helpers in this header, so slot matching is one measurable component
+// instead of logic inlined into dlht.hpp.
 //
-// Three engines share one contract — "given a header word (and, batched,
+// Two engines share one contract — "given a header word (and, batched,
 // eight of them) plus a lookup fingerprint, return the 3-bit candidate-slot
 // mask" — and differ only in how many headers they match per instruction:
 //
-//   kSwar    portable baseline: one XOR + zero-byte trick over the 24
+//   SWAR     portable baseline: one XOR + zero-byte trick over the 24
 //            fingerprint bits of a single header word. No ISA requirement;
-//            this path must always exist (portability CI, non-x86 hosts,
-//            and the scalar fallback lanes of the SIMD pipeline).
-//   kAvx2    batched pipeline only: 8 prefetched headers are matched at
+//            this path must always exist (non-AVX2 hosts, the scalar ops,
+//            and the fallback lanes of the SIMD pipeline).
+//   AVX2     batched pipeline only: 8 prefetched headers are matched at
 //            once — broadcast each lookup fingerprint across its lane,
 //            _mm256_cmpeq_epi8 against the header bytes, fold in the
 //            valid-state test in vector registers, movemask to per-key
 //            candidate bitsets. Link-chain scans vectorize the same way
 //            because chained lanes re-enter the next 8-wide sweep.
-//   kAvx512  same shape in one 512-bit register with a mask-register
-//            compare (_mm512_cmpeq_epi8_mask), for hosts with AVX-512BW.
 //
-// Dispatch is by cpuid at *table construction* (Options::probe_strategy),
-// never per probe: DLHT resolves auto -> best-supported once and the batched
-// path branches on the resolved kind per 8-header group. Requesting a SIMD
-// kind on a host without it resolves to kSwar — the core never fails for
-// lack of an ISA; the bench layer is where an explicit --probe=avx2 on a
-// non-AVX2 host becomes a hard error (mislabeled numbers are worse than no
-// numbers).
+// The engine is a fact of the host, not a setting: a table runs AVX2 when
+// cpuid reports it (host_has_avx2(), checked once at construction, never
+// per probe) and SWAR otherwise. The simd_probe and fingerprints ablations
+// (DLHT_ABLATION=nosimd / nofp) are the only way to force SWAR. A 512-bit
+// (zmm) kernel was measured equal to AVX2 and deleted (docs/ARCHITECTURE.md).
 //
-// The SIMD kernels carry function-level target attributes, so this header
-// builds with a baseline -march and one binary runs on any x86-64 host
-// (CMake no longer passes -march=native unless DLHT_NATIVE=1 opts in).
+// The AVX2 kernel carries a function-level target attribute, so this
+// header builds with a baseline -march and one binary runs on any x86-64
+// host (CMake passes -march=native only when DLHT_NATIVE=1 opts in).
 //
 // Fingerprints: fp_of(h) mixes the two topmost hash bytes (h>>48 ^ h>>56).
 // The bucket index comes from the *low* hash bits, so the fingerprint byte
@@ -44,74 +40,22 @@
 #include "dlht/bucket.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define DLHT_PROBE_X86_SIMD 1
+#define DLHT_X86_SIMD 1
 #include <immintrin.h>
 #else
-#define DLHT_PROBE_X86_SIMD 0
+#define DLHT_X86_SIMD 0
 #endif
 
 namespace dlht {
-
-/// Which probe engine a table uses (Options::probe_strategy). kAuto picks
-/// the best the host supports at construction; explicit SIMD kinds fall
-/// back to kSwar when unsupported (see probe::resolve).
-enum class ProbeStrategy : std::uint8_t {
-  kAuto = 0,
-  kSwar,
-  kAvx2,
-  kAvx512,
-};
-
 namespace probe {
 
-inline const char* name(ProbeStrategy s) {
-  switch (s) {
-    case ProbeStrategy::kAuto:
-      return "auto";
-    case ProbeStrategy::kSwar:
-      return "swar";
-    case ProbeStrategy::kAvx2:
-      return "avx2";
-    case ProbeStrategy::kAvx512:
-      return "avx512";
-  }
-  return "?";
-}
-
-/// True when the running CPU can execute the given engine. kSwar (and
-/// kAuto, which always has somewhere to land) are unconditionally true.
-inline bool host_supports(ProbeStrategy s) {
-  switch (s) {
-    case ProbeStrategy::kAuto:
-    case ProbeStrategy::kSwar:
-      return true;
-    case ProbeStrategy::kAvx2:
-#if DLHT_PROBE_X86_SIMD
-      return __builtin_cpu_supports("avx2") != 0;
+/// True when the running CPU can execute the AVX2 batch kernel.
+inline bool host_has_avx2() {
+#if DLHT_X86_SIMD
+  return __builtin_cpu_supports("avx2") != 0;
 #else
-      return false;
-#endif
-    case ProbeStrategy::kAvx512:
-#if DLHT_PROBE_X86_SIMD
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0;
-#else
-      return false;
-#endif
-  }
   return false;
-}
-
-/// Construction-time dispatch: auto picks the widest supported engine; an
-/// explicit request is honored when the host can run it and degrades to
-/// SWAR when it cannot (the core always works; benches refuse instead).
-inline ProbeStrategy resolve(ProbeStrategy requested) {
-  if (requested == ProbeStrategy::kAuto) {
-    if (host_supports(ProbeStrategy::kAvx512)) return ProbeStrategy::kAvx512;
-    if (host_supports(ProbeStrategy::kAvx2)) return ProbeStrategy::kAvx2;
-    return ProbeStrategy::kSwar;
-  }
-  return host_supports(requested) ? requested : ProbeStrategy::kSwar;
+#endif
 }
 
 /// Slot fingerprint for a hash: the two topmost bytes mixed together —
@@ -170,7 +114,7 @@ constexpr std::uint32_t match_valid(std::uint64_t header, std::uint8_t fp) {
 // normalized 3-bit shape costs ~6 ALU ops it never needed — it can peel
 // slots straight off the SWAR byte mask with `ctz >> 3`. Kept alongside
 // the normalized helpers (same candidate sets, probe_equivalence_test
-// cross-checks them) because the vector kernels' packed contract wants
+// cross-checks them) because the vector kernel's packed contract wants
 // the dense form.
 
 constexpr std::uint32_t fp_matches_raw(std::uint64_t header,
@@ -191,34 +135,31 @@ constexpr std::uint32_t match_valid_raw(std::uint64_t header,
   return fp_matches_raw(header, fp) & valid_slots_raw(header);
 }
 
-// --------------------------------------------------- SIMD batch kernels
+// ---------------------------------------------------- AVX2 batch kernel
 //
-// Contract: given 8 header words plus 8 lookup fingerprints packed into
-// one uint64 (byte j = lane j's fp), return a packed candidate mask whose
-// bits [8j .. 8j+2] are match_valid(headers[j], fp_j) — the caller peels
-// lane j's 3-bit mask with `(mask >> 8*j) & 7`. The packed in/out shapes
-// matter: the batched sweep gathers headers as individual 64-bit stores
-// and ORs fingerprints into a register, so the kernels read each header
-// with a same-width load (8B-over-8B store-forwards cleanly, where one
-// 32B load over four 8B stores stalls) and move the fp word straight into
-// a vector register — no byte-array round-trips on either side.
+// Contract: given the low dwords of 8 header words plus 8 lookup
+// fingerprints packed into one uint64 (byte j = lane j's fp), return a
+// packed candidate mask whose bits [4j .. 4j+2] are
+// match_valid(headers[j], fp_j) — the caller peels lane j's 3-bit mask
+// with `(mask >> 4*j) & 7`. The packed in/out shapes matter: the batched
+// sweep gathers headers as individual 64-bit loads and ORs fingerprints
+// into a register, so both go straight into vector registers — no
+// byte-array round-trips on either side.
 // Lock/migrated bits do NOT affect the result (they live in state-byte
-// bits the kernels mask off); callers must check them per lane before
+// bits the kernel masks off); callers must check them per lane before
 // trusting a candidate set, exactly as the scalar path does.
 
-#if DLHT_PROBE_X86_SIMD
+#if DLHT_X86_SIMD
 
-/// Vector-register-input form of the AVX2 kernel. Matching only reads the
-/// low 32 bits of each header (3 fp bytes + the state byte), so all eight
-/// lanes fit one ymm: hlo's dword j = low dword of header j. Returns the
-/// COMPACT mask — lane j's 3-bit candidate set at bits [4j..4j+2] — which
-/// is what vpmovmskb naturally yields in this layout; spread_nibbles()
-/// converts to the byte-stride contract when needed. Callers that already
-/// hold the headers in scalar registers should pack dword pairs and build
-/// hlo with _mm256_set_epi64x — routing the headers through a stack array
-/// invites the compiler to coalesce the kernel's reads into one 32B load
-/// over eight 8B stores, which store-forwarding cannot satisfy (~20 stall
-/// cycles per group, silently eating the kernel's whole advantage).
+/// Matching only reads the low 32 bits of each header (3 fp bytes + the
+/// state byte), so all eight lanes fit one ymm: hlo's dword j = low dword
+/// of header j. The result is the compact 4-bit-stride mask that
+/// vpmovmskb naturally yields in this layout. Callers that already hold
+/// the headers in scalar registers should pack dword pairs (pack_lo_pair)
+/// and build hlo with _mm256_set_epi64x — routing the headers through a
+/// stack array invites the compiler to coalesce the reads into one 32B
+/// load over eight 8B stores, which store-forwarding cannot satisfy (~20
+/// stall cycles per group, silently eating the kernel's whole advantage).
 __attribute__((target("avx2"))) inline std::uint32_t match_valid_x8v_avx2(
     __m256i hlo, std::uint64_t fps) {
   // Dword j of fv: lane j's fp in bytes 0-2, zero in byte 3. The broadcast
@@ -258,107 +199,7 @@ constexpr std::uint64_t pack_lo_pair(std::uint64_t even, std::uint64_t odd) {
   return (even & 0xffffffffu) | (odd << 32);
 }
 
-/// Spread a compact 4-bit-stride mask (AVX2 kernel output) to the 8-bit
-/// byte-stride contract the dispatcher exposes: nibble j -> byte j.
-constexpr std::uint64_t spread_nibbles(std::uint32_t m) {
-  std::uint64_t a = m & 0x0f0f0f0fu;         // even nibbles, in bytes 0-3
-  std::uint64_t b = (m >> 4) & 0x0f0f0f0fu;  // odd nibbles, in bytes 0-3
-  a = (a | (a << 16)) & 0x0000ffff0000ffffull;
-  a = (a | (a << 8)) & 0x00ff00ff00ff00ffull;
-  b = (b | (b << 16)) & 0x0000ffff0000ffffull;
-  b = (b | (b << 8)) & 0x00ff00ff00ff00ffull;
-  return a | (b << 8);
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t match_valid_x8_avx2(
-    const std::uint64_t* headers, std::uint64_t fps) {
-  const __m256i hlo = _mm256_set_epi64x(
-      static_cast<long long>(pack_lo_pair(headers[6], headers[7])),
-      static_cast<long long>(pack_lo_pair(headers[4], headers[5])),
-      static_cast<long long>(pack_lo_pair(headers[2], headers[3])),
-      static_cast<long long>(pack_lo_pair(headers[0], headers[1])));
-  return spread_nibbles(match_valid_x8v_avx2(hlo, fps));
-}
-
-/// Vector-register-input form of the AVX-512 kernel — see the AVX2 note
-/// above for why callers should prefer this over the array form.
-__attribute__((target("avx512f,avx512bw"))) inline std::uint64_t
-match_valid_x8v_avx512(__m512i h, std::uint64_t fps) {
-  alignas(64) static constexpr std::uint8_t kFctl[64] = {
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
-      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,  //
-      4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,  //
-      6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7};
-  alignas(64) static constexpr std::uint8_t kSctl[64] = {
-      3, 3, 3, 3, 3, 3, 3, 3, 11, 11, 11, 11, 11, 11, 11, 11,  //
-      3, 3, 3, 3, 3, 3, 3, 3, 11, 11, 11, 11, 11, 11, 11, 11,  //
-      3, 3, 3, 3, 3, 3, 3, 3, 11, 11, 11, 11, 11, 11, 11, 11,  //
-      3, 3, 3, 3, 3, 3, 3, 3, 11, 11, 11, 11, 11, 11, 11, 11};
-  alignas(64) static constexpr std::uint8_t kBitsel[64] = {
-      0x03, 0x0c, 0x30, 0, 0, 0, 0, 0, 0x03, 0x0c, 0x30, 0, 0, 0, 0, 0,  //
-      0x03, 0x0c, 0x30, 0, 0, 0, 0, 0, 0x03, 0x0c, 0x30, 0, 0, 0, 0, 0,  //
-      0x03, 0x0c, 0x30, 0, 0, 0, 0, 0, 0x03, 0x0c, 0x30, 0, 0, 0, 0, 0,  //
-      0x03, 0x0c, 0x30, 0, 0, 0, 0, 0, 0x03, 0x0c, 0x30, 0, 0, 0, 0, 0};
-  alignas(64) static constexpr std::uint8_t kVpat[64] = {
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80,  //
-      0x01, 0x04, 0x10, 0x80, 0x80, 0x80, 0x80, 0x80};
-  const __m512i fv = _mm512_shuffle_epi8(
-      _mm512_broadcastq_epi64(_mm_cvtsi64_si128(static_cast<long long>(fps))),
-      _mm512_load_si512(kFctl));
-  const __mmask64 eq = _mm512_cmpeq_epi8_mask(h, fv);
-  const __m512i st = _mm512_shuffle_epi8(h, _mm512_load_si512(kSctl));
-  const __mmask64 va = _mm512_cmpeq_epi8_mask(
-      _mm512_and_si512(st, _mm512_load_si512(kBitsel)),
-      _mm512_load_si512(kVpat));
-  return static_cast<std::uint64_t>(eq & va);
-}
-
-__attribute__((target("avx512f,avx512bw"))) inline std::uint64_t
-match_valid_x8_avx512(const std::uint64_t* headers, std::uint64_t fps) {
-  const __m512i h = _mm512_set_epi64(static_cast<long long>(headers[7]),
-                                     static_cast<long long>(headers[6]),
-                                     static_cast<long long>(headers[5]),
-                                     static_cast<long long>(headers[4]),
-                                     static_cast<long long>(headers[3]),
-                                     static_cast<long long>(headers[2]),
-                                     static_cast<long long>(headers[1]),
-                                     static_cast<long long>(headers[0]));
-  return match_valid_x8v_avx512(h, fps);
-}
-
-#endif  // DLHT_PROBE_X86_SIMD
-
-/// Batched dispatch: packed candidate mask with lane j's 3-bit result at
-/// bits [8j..8j+2] — bit 8j+i set <=> match_valid(headers[j], fp byte j).
-/// `resolved` must come from resolve() — an unsupported kind here would
-/// fault, which is exactly why resolution happens once at construction.
-inline std::uint64_t match_valid_x8(ProbeStrategy resolved,
-                                    const std::uint64_t* headers,
-                                    std::uint64_t fps) {
-  switch (resolved) {
-#if DLHT_PROBE_X86_SIMD
-    case ProbeStrategy::kAvx2:
-      return match_valid_x8_avx2(headers, fps);
-    case ProbeStrategy::kAvx512:
-      return match_valid_x8_avx512(headers, fps);
-#endif
-    default: {
-      std::uint64_t m = 0;
-      for (int j = 0; j < 8; ++j) {
-        m |= static_cast<std::uint64_t>(match_valid(
-                 headers[j], static_cast<std::uint8_t>(fps >> (8 * j))))
-             << (8 * j);
-      }
-      return m;
-    }
-  }
-}
+#endif  // DLHT_X86_SIMD
 
 }  // namespace probe
 }  // namespace dlht

@@ -62,7 +62,7 @@ fi
 
 # Core op costs + the batching pipeline (the repo's headline mechanism).
 # --counters attaches perf counters to the shape-check rows; on hosts where
-# perf_event_open is forbidden the object is zeroed with unavailable:true,
+# perf_event_open is forbidden every counter is null with unavailable:true,
 # so the key is asserted either way.
 run micro_ops micro_ops --keys 65536 --ms 100 --counters
 grep -Eq '"counters"' "$out/BENCH_micro_ops.json"

@@ -29,7 +29,7 @@ run_docs() {
     fi
   done
   if [ "$missing" -ne 0 ]; then exit 1; fi
-  # The probe-engine knobs must stay documented: every bench honors them,
+  # The probe-engine ablation must stay documented: every bench honors it,
   # and a trajectory number without its engine tag is uninterpretable.
   # ...and the server knobs likewise: the loopback trajectory point is
   # only interpretable if the batching/sharding knobs are documented.
@@ -37,11 +37,11 @@ run_docs() {
   # what a trajectory number *means* on a NUMA box.
   # ...and the bench-scale knobs: a trajectory row is only interpretable
   # if its scale profile and competitor filter are documented.
-  for knob in DLHT_PROBE nosimd DLHT_SERVER_BATCH DLHT_SERVER_THREADS \
+  for knob in nosimd DLHT_SERVER_BATCH DLHT_SERVER_THREADS \
               DLHT_PIN DLHT_NUMA DLHT_SYSFS_ROOT DLHT_COUNTERS \
               DLHT_BENCH_SCALE DLHT_BENCH_MAPS DLHT_MEM_AVAILABLE_MB; do
     if ! grep -q "$knob" docs/REPRODUCING.md; then
-      echo "FAIL: probe knob '$knob' is not documented in docs/REPRODUCING.md" >&2
+      echo "FAIL: knob '$knob' is not documented in docs/REPRODUCING.md" >&2
       exit 1
     fi
   done
@@ -153,8 +153,8 @@ run_main() {
   ./build-asan/topology_test
   ./build-asan/perf_counters_test
   # SIMD/SWAR/full-key probe engines must agree under the memory checker
-  # too — the AVX kernels read whole 64-byte headers, so this run is the
-  # no-OOB proof for the vector loads.
+  # too — the AVX2 sweep gathers headers from prefetched buckets, so this
+  # run is the no-OOB proof for the vector path.
   ./build-asan/probe_equivalence_test
   # recovery_test fuzzes the WAL/snapshot decoders over random bytes and
   # truncations — this sanitized run is the no-UB proof the framing claims.

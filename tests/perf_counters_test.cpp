@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -30,13 +31,31 @@ int g_failures = 0;
 
 using namespace dlht;
 
+/// This thread's consumed CPU time, in ns.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// Spin until this thread has run on a CPU for at least `ns`.
+void spin_cpu_ns(std::uint64_t ns) {
+  const std::uint64_t t0 = thread_cpu_ns();
+  volatile std::uint64_t sink = 0;
+  while (thread_cpu_ns() - t0 < ns) {
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
+  }
+}
+
 void test_open_or_degrade() {
   std::puts("test_open_or_degrade");
   PerfCounters pc;
   pc.start();
-  // Burn ~2ms of cpu so any opened counter has something to count.
-  volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i;
+  // Burn >= 2 ms of on-CPU time so any opened counter has something to
+  // count. The spin is bounded by this thread's CPU clock, not by an
+  // iteration count, whose cost varies several-fold with the host.
+  spin_cpu_ns(2'000'000);
   pc.stop();
   const CounterTotals t = pc.read();
   std::printf("  counters %savailable: %s\n",
@@ -127,11 +146,23 @@ void test_json_schema() {
     CHECK(j.find(key) != std::string::npos);
   }
   CHECK(j.find("\"unavailable\": true") != std::string::npos);
+  // Nothing opened: every counter is null, never a 0 that reads as real.
+  for (unsigned i = 0; i < kNumCounters; ++i) {
+    const std::string kv = std::string("\"") + counter_name(i) + "\": null";
+    CHECK(j.find(kv) != std::string::npos);
+  }
   t.available = 1u << kCtrTaskClock;
   t.v[kCtrTaskClock] = 42;
+  t.v[kCtrCycles] = 7;  // a stray value behind a clear bit is still null
   const std::string j2 = t.to_json();
   CHECK(j2.find("\"unavailable\": false") != std::string::npos);
   CHECK(j2.find("\"task_clock_ns\": 42") != std::string::npos);
+  CHECK(j2.find("\"cycles\": null") != std::string::npos);
+  CHECK(j2.find("\"page_faults\": null") != std::string::npos);
+  // A counter that opened and counted nothing is a real 0.
+  t.available |= 1u << kCtrPageFaults;
+  const std::string j3 = t.to_json();
+  CHECK(j3.find("\"page_faults\": 0") != std::string::npos);
 }
 
 void test_merge_semantics() {

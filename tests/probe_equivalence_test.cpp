@@ -1,10 +1,12 @@
 // Probe-engine equivalence: every strategy the probe layer can dispatch
-// (SWAR baseline, AVX2 / AVX-512 batch kernels, and the full-key-compare
-// path with fingerprints ablated) must return identical results for
-// identical tables — on randomized keysets, on adversarial buckets where
-// every slot shares one fingerprint, across full link chains, and while a
-// seeded writer thread mutates headers mid-probe. Engines the host cannot
-// execute are skipped (and said so), keeping the binary green on any CPU.
+// (the SWAR baseline forced through the simd_probe ablation, the default
+// table — AVX2 batch kernel where cpuid reports it — and the full-key-
+// compare path with fingerprints ablated) must return identical results
+// for identical tables — on randomized keysets, on adversarial buckets
+// where every slot shares one fingerprint, across full link chains, and
+// while a seeded writer thread mutates headers mid-probe. The SIMD
+// strategy is skipped (and said so) on hosts without AVX2, keeping the
+// binary green on any CPU.
 //
 // Runs under ASan/UBSan and TSan via scripts/ci.sh; sizes are chosen so
 // the sanitized runs stay inside the ctest budget.
@@ -34,24 +36,19 @@ using namespace dlht;
 
 struct Strategy {
   const char* label;
-  ProbeStrategy kind;
+  bool simd_probe;    // false = SWAR forced through the ablation
   bool fingerprints;  // false = the full-key-compare (nofp) strategy
 };
 
 /// Every strategy this host can actually execute. SWAR and full-key
-/// always; the SIMD engines only when cpuid says so.
+/// always; the default (SIMD) table only when cpuid reports AVX2 —
+/// elsewhere it would just be SWAR again.
 std::vector<Strategy> host_strategies() {
-  std::vector<Strategy> out{{"swar", ProbeStrategy::kSwar, true},
-                            {"fullkey", ProbeStrategy::kSwar, false}};
-  if (probe::host_supports(ProbeStrategy::kAvx2)) {
-    out.push_back({"avx2", ProbeStrategy::kAvx2, true});
+  std::vector<Strategy> out{{"swar", false, true}, {"fullkey", true, false}};
+  if (probe::host_has_avx2()) {
+    out.push_back({"simd", true, true});
   } else {
-    std::puts("note: host lacks AVX2 — avx2 strategy skipped");
-  }
-  if (probe::host_supports(ProbeStrategy::kAvx512)) {
-    out.push_back({"avx512", ProbeStrategy::kAvx512, true});
-  } else {
-    std::puts("note: host lacks AVX-512BW — avx512 strategy skipped");
+    std::puts("note: host lacks AVX2 — simd strategy skipped");
   }
   return out;
 }
@@ -61,10 +58,28 @@ Options strategy_options(const Strategy& s, std::size_t bins,
   Options o;
   o.initial_bins = bins;
   o.link_ratio = 0.25;
-  o.probe_strategy = s.kind;
+  o.ablation.simd_probe = s.simd_probe;
   o.ablation.fingerprints = s.fingerprints;
   o.max_load_factor = max_load;
   return o;
+}
+
+/// The engine is a fact of the host: a default-Options table dispatches
+/// the AVX2 probe exactly when the host has AVX2, and either ablation
+/// forces SWAR; every strategy label says what actually runs.
+void test_dispatch() {
+  std::puts("test_dispatch");
+  CHECK(DLHT::dispatches_simd(Options{}) == probe::host_has_avx2());
+  Options nosimd;
+  nosimd.ablation.simd_probe = false;
+  CHECK(!DLHT::dispatches_simd(nosimd));
+  Options nofp;
+  nofp.ablation.fingerprints = false;
+  CHECK(!DLHT::dispatches_simd(nofp));
+  for (const auto& s : host_strategies()) {
+    const bool simd = std::strcmp(s.label, "simd") == 0;
+    CHECK(DLHT::dispatches_simd(strategy_options(s, 16)) == simd);
+  }
 }
 
 /// Compare get_batch replies for `keys` across all strategy tables,
@@ -109,9 +124,6 @@ void test_randomized_equivalence() {
   std::vector<DLHT*> tables;
   for (const auto& s : strats) {
     tables.push_back(new DLHT(strategy_options(s, /*bins=*/512)));
-  }
-  for (const auto& s : strats) {
-    (void)s;  // every table must have resolved what we asked for
   }
 
   Xoshiro256 rng(0xfeedbeefULL);
@@ -317,13 +329,77 @@ void test_raw_mask_agreement() {
   }
 }
 
+#if DLHT_X86_SIMD
+/// Run the AVX2 kernel on 8 headers the way the batched sweep feeds it.
+__attribute__((target("avx2"))) std::uint32_t avx2_x8(
+    const std::uint64_t* h, std::uint64_t fps) {
+  const __m256i hlo = _mm256_set_epi64x(
+      static_cast<long long>(probe::pack_lo_pair(h[6], h[7])),
+      static_cast<long long>(probe::pack_lo_pair(h[4], h[5])),
+      static_cast<long long>(probe::pack_lo_pair(h[2], h[3])),
+      static_cast<long long>(probe::pack_lo_pair(h[0], h[1])));
+  return probe::match_valid_x8v_avx2(hlo, fps);
+}
+#endif
+
+/// Slot-by-slot definition of match_valid: fingerprint byte i equals fp
+/// and slot i's 2-bit state is kValid (01).
+std::uint32_t exact_match_valid(std::uint64_t header, std::uint8_t fp) {
+  std::uint32_t m = 0;
+  for (int i = 0; i < 3; ++i) {
+    const bool fp_eq = ((header >> (8 * i)) & 0xffu) == fp;
+    const bool valid = ((header >> (24 + 2 * i)) & 3u) == 1u;
+    if (fp_eq && valid) m |= 1u << i;
+  }
+  return m;
+}
+
+// The AVX2 kernel must give every lane the exact candidate set, on random
+// headers and on headers built to match (fp bytes equal to the lane's
+// fingerprint) so that the valid-state test decides. SWAR's zero-byte
+// trick may add a candidate (a borrow out of a matching byte flags a 0x01
+// byte above it; the key compare rejects it), so SWAR is checked as a
+// superset rather than for equality.
+void test_avx2_kernel_agreement() {
+  std::puts("test_avx2_kernel_agreement");
+#if DLHT_X86_SIMD
+  if (!probe::host_has_avx2()) {
+    std::puts("  skip (host lacks AVX2)");
+    return;
+  }
+  Xoshiro256 rng(0x5eedULL);
+  for (int n = 0; n < 50000; ++n) {
+    std::uint64_t h[8];
+    const std::uint64_t fps = rng();
+    for (int j = 0; j < 8; ++j) {
+      h[j] = rng();
+      if ((n & 1) != 0) {  // every fingerprint byte matches the lane's fp
+        h[j] = (h[j] & ~0xffffffull) |
+               (0x010101ull * static_cast<std::uint8_t>(fps >> (8 * j)));
+      }
+    }
+    const std::uint32_t m = avx2_x8(h, fps);
+    for (int j = 0; j < 8; ++j) {
+      const std::uint8_t fp = static_cast<std::uint8_t>(fps >> (8 * j));
+      const std::uint32_t got = (m >> (4 * j)) & 0xfu;
+      CHECK(got == exact_match_valid(h[j], fp));
+      CHECK((got & ~probe::match_valid(h[j], fp)) == 0u);
+    }
+  }
+#else
+  std::puts("  skip (not an x86 build)");
+#endif
+}
+
 }  // namespace
 
 int main() {
   std::printf("probe engines under test:");
   for (const auto& s : host_strategies()) std::printf(" %s", s.label);
   std::printf("\n");
+  test_dispatch();
   test_raw_mask_agreement();
+  test_avx2_kernel_agreement();
   test_randomized_equivalence();
   test_adversarial_same_fingerprint();
   test_mid_probe_mutation();
